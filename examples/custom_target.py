@@ -58,53 +58,70 @@ class BankLedgerTarget(TargetSystem):
         rng = random.Random(0xB4A2 ^ test_case)
         return [rng.randint(-40_000, 60_000) for _ in range(self.n_transactions)]
 
-    def run(self, test_case: int, harness: Harness):
-        balance = 100_000  # cents
-        overdraft_limit = -50_000
-        statement = []
-        for txn_index, amount in enumerate(self._transactions(test_case)):
-            state = harness.probe(
-                "Ledger",
-                Location.ENTRY,
-                {
-                    "balance": balance,
-                    "amount": amount,
-                    "overdraft_limit": overdraft_limit,
-                    "fee_scratch": 0,
-                    "txn_index": txn_index,
-                },
-            )
-            balance = int(state["balance"])
-            amount = int(state["amount"])
-            limit = int(state["overdraft_limit"])
-            # fee_scratch is recomputed from scratch: resilient.
-            fee = 150 if amount < 0 else 0
-            candidate = balance + amount - fee
-            rejected = candidate < limit
-            if not rejected:
-                balance = candidate
-            state = harness.probe(
-                "Ledger",
-                Location.EXIT,
-                {
-                    "balance": balance,
-                    "amount": amount,
-                    "overdraft_limit": limit,
-                    "fee_scratch": fee,
-                    "txn_index": txn_index,
-                    "new_balance": balance,
-                    "rejected": rejected,
-                },
-            )
-            balance = int(state["new_balance"])
-            # The observable statement reports balances in $100 bands
-            # (a summary report): sub-band corruption is absorbed
-            # (inherent resilience), material corruption violates the
-            # specification.
-            statement.append(
-                (txn_index, balance // 10_000, bool(state["rejected"]))
-            )
-        return tuple(statement)
+    # The step protocol: begin() builds the test case's state, step()
+    # posts one transaction, end() reads the statement off the state.
+    # TargetSystem.run drives the loop.  Because the state is one
+    # deep-copyable object between steps, campaigns snapshot the
+    # fault-free prefix once and resume every injected run from the
+    # step just before its injection.  (A target that overrides only
+    # run(test_case, harness) works too; its injected runs replay the
+    # whole fault-free prefix.)
+    def begin(self, test_case: int) -> dict:
+        return {
+            "transactions": self._transactions(test_case),
+            "balance": 100_000,  # cents
+            "overdraft_limit": -50_000,
+            "statement": [],
+        }
+
+    def n_steps(self, state: dict) -> int:
+        return len(state["transactions"])
+
+    def step(self, state: dict, txn_index: int, harness: Harness) -> None:
+        probed = harness.probe(
+            "Ledger",
+            Location.ENTRY,
+            {
+                "balance": state["balance"],
+                "amount": state["transactions"][txn_index],
+                "overdraft_limit": state["overdraft_limit"],
+                "fee_scratch": 0,
+                "txn_index": txn_index,
+            },
+        )
+        balance = int(probed["balance"])
+        amount = int(probed["amount"])
+        limit = int(probed["overdraft_limit"])
+        # fee_scratch is recomputed from scratch: resilient.
+        fee = 150 if amount < 0 else 0
+        candidate = balance + amount - fee
+        rejected = candidate < limit
+        if not rejected:
+            balance = candidate
+        probed = harness.probe(
+            "Ledger",
+            Location.EXIT,
+            {
+                "balance": balance,
+                "amount": amount,
+                "overdraft_limit": limit,
+                "fee_scratch": fee,
+                "txn_index": txn_index,
+                "new_balance": balance,
+                "rejected": rejected,
+            },
+        )
+        state["balance"] = int(probed["new_balance"])
+        # The observable statement reports balances in $100 bands
+        # (a summary report): sub-band corruption is absorbed
+        # (inherent resilience), material corruption violates the
+        # specification.
+        state["statement"].append(
+            (txn_index, state["balance"] // 10_000, bool(probed["rejected"]))
+        )
+
+    def end(self, state: dict):
+        return tuple(state["statement"])
 
     def is_failure(self, golden_output, run_output):
         return golden_output != run_output

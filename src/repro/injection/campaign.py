@@ -24,7 +24,9 @@ documented reduced scale (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import math
 import struct
 from collections.abc import Mapping
@@ -39,6 +41,14 @@ from repro.injection.instrument import (
     StateSample,
     VariableSpec,
 )
+from repro.injection.resume import (
+    PREFIX_CACHE,
+    PrefixSnapshot,
+    capture_prefixes,
+    uses_step_driver,
+)
+from repro.mining.cache import caching_disabled
+from repro.observability import names
 
 __all__ = ["CampaignConfig", "ExperimentRecord", "CampaignResult", "Campaign"]
 
@@ -527,6 +537,8 @@ class Campaign:
         undrawn run never executes, so the hook would silently miss
         it.
         """
+        # The target may have been reconfigured since the last run.
+        self.__dict__.pop("_resume_key", None)
         if mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown campaign mode {mode!r}")
         prune_mode = prune if prune is not None else (self.config.prune or "none")
@@ -598,7 +610,6 @@ class Campaign:
         prune_plan = None
         if prune_mode == "static":
             from repro.analysis import prune as prune_mod
-            from repro.observability import names
 
             with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
                 prune_plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
@@ -683,7 +694,6 @@ class Campaign:
         """The statically pruned campaign: plan, execute the remainder,
         synthesize the rest, audit.  Bit-identical to `_run_serial`."""
         from repro.analysis import prune as prune_mod
-        from repro.observability import names
 
         with obs.span(names.PRUNE_PLAN, target=self.target.name) as plan_span:
             golden_runs = golden_runs_for(self.target, self.config.test_cases)
@@ -791,9 +801,16 @@ class Campaign:
             # live value matches before using it, so the hint can only
             # skip work, never change a record.
             harness.injected_hint = injected_hint
+        snapshot = self._prefix_snapshot(test_case, injection_time)
+        if snapshot is not None:
+            harness.resume(snapshot.occurrences, snapshot.samples)
+            state = copy.deepcopy(snapshot.state)
         crashed = False
         try:
-            output = self.target.run(test_case, harness)
+            if snapshot is None:
+                output = self.target.run(test_case, harness)
+            else:
+                output = self.target.run_from(state, snapshot.step, harness)
             failed = self.target.is_failure(golden.output, output)
         except Exception:
             # An injected fault crashed the target: a specification
@@ -815,7 +832,68 @@ class Campaign:
             deviated=self._deviated(golden, sample),
         )
         self._after_run(harness, record)
+        if obs.enabled():
+            obs.count(
+                names.COUNTER_REPLAYED if snapshot is None else names.COUNTER_RESUMED
+            )
         return record
+
+    def _prefix_snapshot(
+        self, test_case: int, injection_time: int
+    ) -> PrefixSnapshot | None:
+        """The fault-free prefix an injected run may resume from, or
+        ``None`` to replay the run in full.
+
+        Resume applies only where it provably changes nothing: the
+        target runs through the base step-protocol driver and is
+        fingerprintable, and this campaign overrides neither
+        :meth:`_make_harness` nor :meth:`_after_run` (an observing
+        harness must see the prefix's probes itself).  It is also off
+        while reuse caches are disabled, and for campaigns with more
+        test cases than :data:`~repro.injection.resume.PREFIX_CACHE`
+        holds.
+        """
+        key = self._resume_key
+        if key is None or caching_disabled():
+            return None
+        snapshots = PREFIX_CACHE.get((key, test_case))
+        if snapshots is None:
+            config = self.config
+            snapshots = capture_prefixes(
+                self.target,
+                test_case,
+                config.injection_probe,
+                config.sample_probe,
+                config.injection_times,
+            )
+            PREFIX_CACHE.put((key, test_case), snapshots)
+        return snapshots.get(injection_time)
+
+    @functools.cached_property
+    def _resume_key(self) -> tuple | None:
+        """The test-case-independent part of the prefix cache key,
+        ``None`` when this campaign is not resume-eligible.  Cached
+        until the next :meth:`run` (a target fingerprint costs up to
+        0.1 ms, a resumed run about 1 ms)."""
+        config = self.config
+        cls = type(self)
+        if not (
+            cls._make_harness is Campaign._make_harness
+            and cls._after_run is Campaign._after_run
+            and uses_step_driver(self.target)
+            and len(config.test_cases) <= PREFIX_CACHE.maxsize
+        ):
+            return None
+        fingerprint = self.target.fingerprint()
+        if fingerprint is None:
+            return None
+        return (
+            fingerprint,
+            config.module,
+            config.injection_location.value,
+            config.sample_location.value,
+            tuple(config.injection_times),
+        )
 
     def _deviated(self, golden: GoldenRun, sample: StateSample | None) -> bool:
         """Golden-diff of the sampled state itself (Discussion §VIII)."""

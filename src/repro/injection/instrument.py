@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.injection.bitflip import BitFlip, bit_width
 
@@ -154,6 +154,41 @@ class Harness:
     def occurrences(self, probe: Probe) -> int:
         """Number of times ``probe`` has fired so far."""
         return self._occurrences.get(probe.key, 0)
+
+    def occurrence_counts(self) -> dict[tuple[str, Location], int]:
+        """A copy of every probe's occurrence counter so far."""
+        return dict(self._occurrences)
+
+    def resume(
+        self,
+        occurrences: Mapping[tuple[str, Location], int],
+        samples: Sequence[StateSample],
+    ) -> None:
+        """Preset this fresh harness to a step boundary of a fault-free
+        prefix it did not observe itself.
+
+        ``occurrences`` are the prefix's probe counters
+        (:meth:`occurrence_counts` of the harness that ran it) and
+        ``samples`` the fault-free states it recorded.  Each sample
+        passes through this harness's own sampling rules, in order, as
+        if it had fired here.  Only valid while this harness's
+        :meth:`_on_probe` would have left every prefix state unchanged
+        -- for an :class:`InjectionHarness`, a boundary at or before
+        its injection occurrence.
+        """
+        if self._occurrences or self.samples:
+            raise InstrumentationError("resume() needs a fresh harness")
+        self._occurrences.update(occurrences)
+        for sample in samples:
+            key = sample.probe.key
+            if (
+                self._sample_key is None or key == self._sample_key
+            ) and self._should_sample(key, sample.occurrence):
+                self.samples.append(
+                    StateSample(
+                        sample.probe, sample.occurrence, dict(sample.variables)
+                    )
+                )
 
     def samples_at(self, probe: Probe) -> list[StateSample]:
         return [s for s in self.samples if s.probe == probe]

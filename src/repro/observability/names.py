@@ -59,6 +59,8 @@ __all__ = [
     "COUNTER_STORE_INVALIDATED",
     "COUNTER_STORE_WRITES",
     "COUNTER_STORE_STALE",
+    "COUNTER_RESUMED",
+    "COUNTER_REPLAYED",
 ]
 
 # -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
@@ -166,3 +168,9 @@ COUNTER_STORE_INVALIDATED = "store_invalidated"
 COUNTER_STORE_WRITES = "store_writes"
 #: Stale (superseded) shard generations seen by gc/lint.
 COUNTER_STORE_STALE = "store_stale"
+#: Injected runs resumed from a fault-free prefix snapshot
+#: (:mod:`repro.injection.resume`).
+COUNTER_RESUMED = "resumed"
+#: Injected runs that replayed their fault-free prefix in full
+#: (resume-ineligible campaigns and targets, or caches disabled).
+COUNTER_REPLAYED = "replayed"

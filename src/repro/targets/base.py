@@ -15,6 +15,17 @@ target system in this reproduction is a class that
   comparing an injected run's output to the golden run's (Section
   VI-F).
 
+A run is a *step loop*: :meth:`~TargetSystem.begin` builds the test
+case's state, :meth:`~TargetSystem.step` advances it one unit of work
+(a track, a file, a control-loop iteration) and
+:meth:`~TargetSystem.end` reads the output off it.  Because the whole
+run state lives in one object between steps, an injection campaign can
+snapshot the fault-free prefix once and resume every injected run from
+the step boundary just before its injection
+(:mod:`repro.injection.resume`).  Targets that only override
+:meth:`~TargetSystem.run` still work; their injected runs replay the
+full prefix.
+
 Targets are grey box, as the paper assumes: the harness sees variable
 names and values, not the target's semantics.
 """
@@ -126,7 +137,17 @@ class TargetError(RuntimeError):
 
 
 class TargetSystem(abc.ABC):
-    """Abstract instrumented target system."""
+    """Abstract instrumented target system.
+
+    Subclasses implement the step protocol -- :meth:`begin`,
+    :meth:`n_steps`, :meth:`step` and :meth:`end` -- and inherit
+    :meth:`run`, the one driver loop over it.  The state ``begin``
+    returns must be self-contained and ``copy.deepcopy``-able: a
+    deep copy taken between two steps, stepped on to ``end``, must
+    produce exactly what the original would.  A target may instead
+    override :meth:`run` alone (the pre-step-protocol form); it stays
+    fully supported, but prefix resume does not apply to it.
+    """
 
     #: Short identifier used in dataset names ("7Z", "FG", "MG").
     name: str = "target"
@@ -148,7 +169,30 @@ class TargetSystem(abc.ABC):
         returns the union.
         """
 
-    @abc.abstractmethod
+    def begin(self, test_case: int) -> object:
+        """Build the state of ``test_case`` before its first step."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither the step protocol "
+            "(begin/n_steps/step/end) nor run()"
+        )
+
+    def n_steps(self, state: object) -> int:
+        """Number of steps of the run ``begin`` set up.
+
+        Fixed by ``begin``: it must not depend on anything a step
+        mutates, so the count read off a mid-run snapshot equals the
+        count read off the fresh state.
+        """
+        raise NotImplementedError
+
+    def step(self, state: object, index: int, harness: Harness) -> None:
+        """Advance ``state`` by step ``index``, probing ``harness``."""
+        raise NotImplementedError
+
+    def end(self, state: object) -> object:
+        """The run's observable output, read off the final state."""
+        raise NotImplementedError
+
     def run(self, test_case: int, harness: Harness) -> object:
         """Execute ``test_case`` under ``harness`` and return the output.
 
@@ -157,6 +201,18 @@ class TargetSystem(abc.ABC):
         A run may raise an exception when an injected fault crashes the
         target; the campaign treats crashes as failures.
         """
+        return self.run_from(self.begin(test_case), 0, harness)
+
+    def run_from(self, state: object, start: int, harness: Harness) -> object:
+        """Execute steps ``start`` onwards of ``state``; the output.
+
+        ``run`` is ``run_from(begin(test_case), 0, harness)``; a
+        resumed injected run passes a copy of a prefix snapshot and
+        the step boundary it was taken at.
+        """
+        for index in range(start, self.n_steps(state)):
+            self.step(state, index, harness)
+        return self.end(state)
 
     @abc.abstractmethod
     def is_failure(self, golden_output: object, run_output: object) -> bool:

@@ -15,7 +15,11 @@ exit once per track, so probe occurrence indices count files processed
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import zlib
+
+import numpy as np
 
 from repro.injection.instrument import Harness, Location, VariableSpec
 from repro.targets.base import TargetSystem
@@ -24,6 +28,26 @@ from repro.targets.mp3gain.replaygain import RGainModule
 from repro.targets.mp3gain.signal import make_batch
 
 __all__ = ["Mp3GainTarget"]
+
+
+@dataclasses.dataclass
+class _BatchRun:
+    """One test case's state between track steps."""
+
+    tracks: tuple[np.ndarray, ...]
+    analysis: GAnalysisModule
+    gain: RGainModule
+    digests: list[int] = dataclasses.field(default_factory=list)
+
+    def __deepcopy__(self, memo: dict) -> "_BatchRun":
+        # The tracks are read-only input (begin() freezes them), so a
+        # copy shares them instead of duplicating every PCM buffer.
+        return _BatchRun(
+            self.tracks,
+            copy.deepcopy(self.analysis, memo),
+            copy.deepcopy(self.gain, memo),
+            list(self.digests),
+        )
 
 
 class Mp3GainTarget(TargetSystem):
@@ -112,18 +136,28 @@ class Mp3GainTarget(TargetSystem):
 
         return (target, analysis, replaygain, signal)
 
-    def run(self, test_case: int, harness: Harness) -> object:
+    # ------------------------------------------------------------------
+    # Step protocol: one step per track
+    # ------------------------------------------------------------------
+    def begin(self, test_case: int) -> _BatchRun:
         tracks = make_batch(
             test_case, self.n_tracks, self.min_samples, self.max_samples
         )
-        analysis = GAnalysisModule()
-        gain = RGainModule()
-        digests = []
-        for track_index, samples in enumerate(tracks):
-            result = analysis.step(harness, track_index, samples)
-            normalised = gain.step(harness, track_index, samples, result)
-            digests.append(zlib.crc32(normalised.pcm16.tobytes()))
-        return tuple(digests)
+        for samples in tracks:
+            samples.flags.writeable = False
+        return _BatchRun(tuple(tracks), GAnalysisModule(), RGainModule())
+
+    def n_steps(self, state: _BatchRun) -> int:
+        return len(state.tracks)
+
+    def step(self, state: _BatchRun, index: int, harness: Harness) -> None:
+        samples = state.tracks[index]
+        result = state.analysis.step(harness, index, samples)
+        normalised = state.gain.step(harness, index, samples, result)
+        state.digests.append(zlib.crc32(normalised.pcm16.tobytes()))
+
+    def end(self, state: _BatchRun) -> object:
+        return tuple(state.digests)
 
     def is_failure(self, golden_output: object, run_output: object) -> bool:
         return golden_output != run_output

@@ -181,3 +181,38 @@ class TestTracedEqualsUntraced:
         names = {record.name for record in spans}
         assert {"methodology.run", "phase.baseline", "phase.refine",
                 "refine.trial", "crossval.fold", "c45.fit"} <= names
+
+    def test_resumed_campaign_bit_identical(self, tmp_path):
+        from repro.experiments.datasets import (
+            DATASET_SPECS,
+            build_target,
+            campaign_config,
+        )
+        from repro.experiments.scale import get_scale
+        from repro.injection.campaign import Campaign
+        from repro.mining.cache import clear_reuse_caches
+
+        scale = get_scale("smoke")
+        spec = DATASET_SPECS["7Z-B1"]
+
+        def run():
+            clear_reuse_caches()
+            campaign = Campaign(
+                build_target(spec.target, scale), campaign_config(spec, scale)
+            )
+            return [record.to_dict() for record in campaign.run().records]
+
+        untraced = run()
+        with obs.tracing_to(tmp_path / "trace.jsonl"):
+            traced = run()
+
+        assert traced == untraced
+        # The traced campaign really resumed its runs.
+        spans = obs.load_trace(tmp_path / "trace.jsonl")
+        resumed = sum(
+            record.counters.get(obs.names.COUNTER_RESUMED, 0) for record in spans
+        )
+        replayed = sum(
+            record.counters.get(obs.names.COUNTER_REPLAYED, 0) for record in spans
+        )
+        assert (resumed, replayed) == (len(untraced), 0)
