@@ -24,7 +24,6 @@ documented reduced scale (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import math
@@ -45,6 +44,7 @@ from repro.injection.resume import (
     PREFIX_CACHE,
     PrefixSnapshot,
     capture_prefixes,
+    run_resumed,
     uses_step_driver,
 )
 from repro.mining.cache import caching_disabled
@@ -182,7 +182,7 @@ class CampaignConfig:
         )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ExperimentRecord:
     """Outcome of one injected run.
 
@@ -804,13 +804,13 @@ class Campaign:
         snapshot = self._prefix_snapshot(test_case, injection_time)
         if snapshot is not None:
             harness.resume(snapshot.occurrences, snapshot.samples)
-            state = copy.deepcopy(snapshot.state)
+        reconverged = None
         crashed = False
         try:
             if snapshot is None:
                 output = self.target.run(test_case, harness)
             else:
-                output = self.target.run_from(state, snapshot.step, harness)
+                output, reconverged = run_resumed(self.target, snapshot, harness)
             failed = self.target.is_failure(golden.output, output)
         except Exception:
             # An injected fault crashed the target: a specification
@@ -818,9 +818,10 @@ class Campaign:
             crashed = True
             failed = True
         sample = self._pick_sample(harness, injection_time)
-        temporal_impact = max(
-            0, harness.occurrences(self.config.injection_probe) - injection_time
-        )
+        occurrences = harness.occurrences(self.config.injection_probe)
+        if reconverged is not None:
+            occurrences += snapshot.trail.remaining(reconverged)
+        temporal_impact = max(0, occurrences - injection_time)
         record = ExperimentRecord(
             test_case=test_case,
             flip=flip,
@@ -836,6 +837,12 @@ class Campaign:
             obs.count(
                 names.COUNTER_REPLAYED if snapshot is None else names.COUNTER_RESUMED
             )
+            if reconverged is not None:
+                obs.count(names.COUNTER_RECONVERGED)
+                obs.count(
+                    names.COUNTER_STEPS_SKIPPED,
+                    snapshot.trail.steps_after(reconverged),
+                )
         return record
 
     def _prefix_snapshot(
@@ -845,13 +852,16 @@ class Campaign:
         ``None`` to replay the run in full.
 
         Resume applies only where it provably changes nothing: the
-        target runs through the base step-protocol driver and is
+        target runs through the base step-protocol driver
+        (:func:`~repro.injection.resume.uses_step_driver`) and is
         fingerprintable, and this campaign overrides neither
         :meth:`_make_harness` nor :meth:`_after_run` (an observing
         harness must see the prefix's probes itself).  It is also off
         while reuse caches are disabled, and for campaigns with more
         test cases than :data:`~repro.injection.resume.PREFIX_CACHE`
-        holds.
+        holds.  The reconvergence exit of
+        :func:`~repro.injection.resume.run_resumed` applies exactly
+        where resume does.
         """
         key = self._resume_key
         if key is None or caching_disabled():

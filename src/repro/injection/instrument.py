@@ -28,8 +28,9 @@ corresponds to one (injection location, sampling location) pair as in
 Table II.
 
 The probe call is the hot path of every campaign (a FlightGear run
-crosses it ~10,000 times), so occurrence bookkeeping uses plain
-``(module, location)`` tuples internally.
+crosses it 4 times per control-loop iteration: 880 times at smoke
+scale, 2,160 at bench and 10,800 at paper scale), so occurrence
+bookkeeping uses plain ``(module, location)`` tuples internally.
 """
 
 from __future__ import annotations

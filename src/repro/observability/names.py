@@ -61,6 +61,8 @@ __all__ = [
     "COUNTER_STORE_STALE",
     "COUNTER_RESUMED",
     "COUNTER_REPLAYED",
+    "COUNTER_RECONVERGED",
+    "COUNTER_STEPS_SKIPPED",
 ]
 
 # -- pipeline phases (orchestrate.run, serve lifecycles) ---------------
@@ -174,3 +176,8 @@ COUNTER_RESUMED = "resumed"
 #: Injected runs that replayed their fault-free prefix in full
 #: (resume-ineligible campaigns and targets, or caches disabled).
 COUNTER_REPLAYED = "replayed"
+#: Resumed injected runs whose state matched the golden trail at a step
+#: boundary and took the golden continuation from there.
+COUNTER_RECONVERGED = "reconverged"
+#: Steps those reconverged runs skipped.
+COUNTER_STEPS_SKIPPED = "steps_skipped"

@@ -22,9 +22,10 @@ case's state, :meth:`~TargetSystem.step` advances it one unit of work
 run state lives in one object between steps, an injection campaign can
 snapshot the fault-free prefix once and resume every injected run from
 the step boundary just before its injection
-(:mod:`repro.injection.resume`).  Targets that only override
-:meth:`~TargetSystem.run` still work; their injected runs replay the
-full prefix.
+(:mod:`repro.injection.resume`), and stop an injected run as soon as
+its state equals the fault-free run's again.  Targets that only
+override :meth:`~TargetSystem.run` still work; their injected runs
+replay the full prefix.
 
 Targets are grey box, as the paper assumes: the harness sees variable
 names and values, not the target's semantics.
@@ -144,9 +145,14 @@ class TargetSystem(abc.ABC):
     :meth:`run`, the one driver loop over it.  The state ``begin``
     returns must be self-contained and ``copy.deepcopy``-able: a
     deep copy taken between two steps, stepped on to ``end``, must
-    produce exactly what the original would.  A target may instead
-    override :meth:`run` alone (the pre-step-protocol form); it stays
-    fully supported, but prefix resume does not apply to it.
+    produce exactly what the original would.  If the state can also be
+    pickled, an injected run whose pickled state equals the fault-free
+    run's at a step boundary stops there and takes the golden output
+    (the reconvergence exit of :mod:`repro.injection.resume`), so the
+    pickle must capture everything the run's future depends on.  A
+    target may instead override :meth:`run` alone (the
+    pre-step-protocol form); it stays fully supported, but prefix
+    resume does not apply to it.
     """
 
     #: Short identifier used in dataset names ("7Z", "FG", "MG").
@@ -201,16 +207,8 @@ class TargetSystem(abc.ABC):
         A run may raise an exception when an injected fault crashes the
         target; the campaign treats crashes as failures.
         """
-        return self.run_from(self.begin(test_case), 0, harness)
-
-    def run_from(self, state: object, start: int, harness: Harness) -> object:
-        """Execute steps ``start`` onwards of ``state``; the output.
-
-        ``run`` is ``run_from(begin(test_case), 0, harness)``; a
-        resumed injected run passes a copy of a prefix snapshot and
-        the step boundary it was taken at.
-        """
-        for index in range(start, self.n_steps(state)):
+        state = self.begin(test_case)
+        for index in range(self.n_steps(state)):
             self.step(state, index, harness)
         return self.end(state)
 

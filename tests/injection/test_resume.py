@@ -209,10 +209,17 @@ class TestSnapshotIsolation:
             assert _tables(late.run()) == _tables(resumed)
 
 
-@pytest.fixture(scope="module")
-def full_replay_tables():
+@lru_cache(maxsize=None)
+def _full_replay_tables():
+    """Full-replay records of every smoke dataset, computed once per
+    session and shared with ``test_reconverge``."""
     with reuse_caches_disabled():
         return {name: _tables(_smoke_campaign(name).run()) for name in DATASETS}
+
+
+@pytest.fixture(scope="module")
+def full_replay_tables():
+    return _full_replay_tables()
 
 
 class TestCampaignEqualsFullReplay:

@@ -216,3 +216,41 @@ class TestTracedEqualsUntraced:
             record.counters.get(obs.names.COUNTER_REPLAYED, 0) for record in spans
         )
         assert (resumed, replayed) == (len(untraced), 0)
+
+    def test_reconverging_campaign_bit_identical(self, tmp_path):
+        from repro.experiments.datasets import (
+            DATASET_SPECS,
+            build_target,
+            campaign_config,
+        )
+        from repro.experiments.scale import get_scale
+        from repro.injection.campaign import Campaign
+        from repro.mining.cache import clear_reuse_caches
+
+        scale = get_scale("smoke")
+        spec = DATASET_SPECS["FG-A3"]
+
+        def run():
+            clear_reuse_caches()
+            campaign = Campaign(
+                build_target(spec.target, scale), campaign_config(spec, scale)
+            )
+            return [record.to_dict() for record in campaign.run().records]
+
+        untraced = run()
+        with obs.tracing_to(tmp_path / "trace.jsonl"):
+            traced = run()
+
+        assert traced == untraced
+        # The traced campaign's runs really took the reconvergence exit.
+        spans = obs.load_trace(tmp_path / "trace.jsonl")
+        reconverged = sum(
+            record.counters.get(obs.names.COUNTER_RECONVERGED, 0)
+            for record in spans
+        )
+        skipped = sum(
+            record.counters.get(obs.names.COUNTER_STEPS_SKIPPED, 0)
+            for record in spans
+        )
+        assert 0 < reconverged < len(untraced)
+        assert skipped > reconverged
