@@ -34,7 +34,7 @@ import dataclasses
 import importlib
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.analysis.dataflow import ModuleDataflow, analyze_dataflow
 from repro.analysis.dataflow.analyzer import analyze_dataflow_package
@@ -474,46 +474,42 @@ def _synthesize_member(
 def assemble_records(
     campaign: Campaign,
     plan: PrunePlan,
-    executed: dict[tuple[str, int], list[ExperimentRecord]],
+    executed: Iterable[ExperimentRecord],
 ) -> list[ExperimentRecord]:
     """Merge executed and synthesized records in canonical order.
 
-    ``executed`` maps ``(variable, bit)`` of every live/representative
-    point to its records in (injection time, test case) order -- the
+    ``executed`` holds the records of the live/representative points
+    that ran, each point's in (injection time, test case) order -- the
     shard execution order, so pruned and exhaustive campaigns emit
-    their record lists in the identical canonical order.
+    their record lists in the identical canonical order.  Points that
+    did not run (undrawn by a sampled campaign), and members whose
+    representative did not, are left out.
     """
     config = campaign.config
+    by_point: dict[tuple[str, int], list[ExperimentRecord]] = {}
+    for record in executed:
+        by_point.setdefault((record.flip.variable, record.flip.bit), []).append(
+            record
+        )
+    cells = [(t, tc) for t in config.injection_times for tc in config.test_cases]
     records: list[ExperimentRecord] = []
     for point in plan.points:
-        flip = BitFlip(point.variable, point.kind, point.bit)
         if point.verdict in EXECUTED_VERDICTS:
-            records.extend(executed[(point.variable, point.bit)])
+            records.extend(by_point.get((point.variable, point.bit), ()))
             continue
-        if point.verdict == "dead":
-            for injection_time in config.injection_times:
-                for tc in config.test_cases:
-                    records.append(
-                        _synthesize_dead(
-                            campaign, flip, injection_time, tc,
-                            plan.golden_runs[tc],
-                        )
-                    )
+        rep_records = by_point.get((point.variable, point.representative_bit))
+        if point.verdict == "member" and rep_records is None:
             continue
-        rep_records = executed[(point.variable, point.representative_bit)]
-        index = 0
-        for injection_time in config.injection_times:
-            for tc in config.test_cases:
-                records.append(
-                    _synthesize_member(
-                        campaign,
-                        flip,
-                        injection_time,
-                        plan.golden_runs[tc],
-                        rep_records[index],
-                    )
+        flip = BitFlip(point.variable, point.kind, point.bit)
+        for index, (injection_time, tc) in enumerate(cells):
+            golden = plan.golden_runs[tc]
+            records.append(
+                _synthesize_dead(campaign, flip, injection_time, tc, golden)
+                if point.verdict == "dead"
+                else _synthesize_member(
+                    campaign, flip, injection_time, golden, rep_records[index]
                 )
-                index += 1
+            )
     return records
 
 

@@ -65,8 +65,6 @@ class _AssertingHarness(InjectionHarness):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if mode not in ("single", "continuous"):
-            raise ValueError(f"unknown validation mode {mode!r}")
         self._detector = detector
         self._mode = mode
         self._monitor_all = monitor_all_probes
@@ -155,6 +153,10 @@ class ValidationCampaign(Campaign):
         monitor_all_probes: bool = False,
     ) -> None:
         super().__init__(target, config)
+        # Checked here, not per run: the executor turns an exception
+        # raised inside a run into a quarantined crash record.
+        if mode not in ("single", "continuous"):
+            raise ValueError(f"unknown validation mode {mode!r}")
         self.detector = detector
         self.mode = mode
         self.monitor_all_probes = monitor_all_probes

@@ -413,23 +413,20 @@ class Campaign:
         superseded generation in the store -- the module was edited;
         ``missing`` shards are cold)."""
         from repro.injection.store import logical_id_of
-        from repro.orchestration.campaigns import plan_shards
-        from repro.orchestration.tasks import fingerprint_of
+        from repro.orchestration.campaigns import plan_shards, shard_store_keys
 
-        base = self.store_key_base()
+        resolved = shard_store_keys(self, plan_shards(self, shard_size))
         plan = {
-            "eligible": base is not None,
+            "eligible": resolved is not None,
             "shards": 0,
             "stored": 0,
             "invalidated": 0,
             "missing": 0,
         }
-        if base is None:
+        if resolved is None:
             return plan
         index = store._load_index()["logical"]
-        for shard in plan_shards(self, shard_size):
-            key = {**base, "pairs": [list(pair) for pair in shard]}
-            fingerprint = fingerprint_of(key)
+        for key, fingerprint in zip(*resolved):
             plan["shards"] += 1
             if store.contains(fingerprint):
                 plan["stored"] += 1
@@ -478,17 +475,20 @@ class Campaign:
     ) -> CampaignResult:
         """Execute the full campaign and return its records.
 
-        With no arguments the campaign runs serially in-process, as the
-        paper's loop does.  ``pool`` (a
-        :class:`repro.orchestration.WorkerPool`) shards the campaign
-        into independent run-batches and executes them in parallel --
-        the merged records are bit-identical to the serial path for any
-        worker count.  ``journal`` (a
-        :class:`repro.orchestration.Journal`) checkpoints each
-        completed shard so a killed campaign resumes without
-        re-executing finished work.  When neither is given, a pool
-        configured via :func:`repro.orchestration.configure` (the
-        experiments CLI's ``--jobs``) is picked up automatically.
+        Every mode executes its injected runs through
+        :func:`repro.orchestration.campaigns.run_campaign`, which
+        shards the campaign into independent run-batches.  ``pool`` (a
+        :class:`repro.orchestration.WorkerPool`) executes them -- the
+        merged records are bit-identical for any worker count.  When no
+        pool is given, a pool configured via
+        :func:`repro.orchestration.configure` (the experiments CLI's
+        ``--jobs``) is picked up, else a
+        :class:`~repro.orchestration.SerialPool` runs the paper's loop
+        in-process; the campaign closes a pool it created itself.
+        ``journal`` (a :class:`repro.orchestration.Journal`)
+        checkpoints each completed shard so a killed campaign resumes
+        without re-executing finished work.  The result's
+        ``orchestration`` field summarises the schedule.
 
         ``prune="static"`` (or ``config.prune``) runs the statically
         pruned campaign: provably dead or class-equivalent injection
@@ -537,150 +537,77 @@ class Campaign:
         undrawn run never executes, so the hook would silently miss
         it.
         """
-        # The target may have been reconfigured since the last run.
-        self.__dict__.pop("_resume_key", None)
+        from repro.orchestration.campaigns import run_campaign
+        from repro.orchestration.pool import SerialPool, default_pool
+
         if mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown campaign mode {mode!r}")
         prune_mode = prune if prune is not None else (self.config.prune or "none")
         if prune_mode not in ("none", "static"):
             raise ValueError(f"unknown prune mode {prune_mode!r}")
-        if mode == "sample":
-            if type(self)._after_run is not Campaign._after_run:
-                raise ValueError(
-                    "campaigns observing per-run harness state via "
-                    "_after_run cannot sample: undrawn runs never execute"
-                )
-            if sampling is None:
-                from repro.injection.sampling import SamplingSpec
-
-                sampling = SamplingSpec(
-                    ci=ci,
-                    confidence=confidence,
-                    target_halfwidth=target_halfwidth,
-                    seed=sample_seed,
-                )
-            return self._run_sampled(pool, journal, sampling, prune_mode, store)
-        if prune_mode == "static":
-            if type(self)._after_run is not Campaign._after_run:
-                raise ValueError(
-                    "campaigns observing per-run harness state via "
-                    "_after_run cannot prune: synthesized runs never "
-                    "execute"
-                )
-            fraction = (
-                self.config.audit_fraction
-                if audit_fraction is None
-                else audit_fraction
+        observes = type(self)._after_run is not Campaign._after_run
+        if observes and (mode == "sample" or prune_mode == "static"):
+            reason = "sample: undrawn" if mode == "sample" else "prune: synthesized"
+            raise ValueError(
+                "campaigns observing per-run harness state via _after_run "
+                f"cannot {reason} runs never execute"
             )
-            seed = self.config.audit_seed if audit_seed is None else audit_seed
-            owns_pool = False
-            if pool is None:
-                from repro.orchestration.pool import default_pool
-
-                pool = default_pool()
-                owns_pool = pool is not None
-            try:
-                return self._run_pruned(
-                    pool, journal, shard_size, fraction, seed, store
-                )
-            finally:
-                if owns_pool:
-                    pool.close()
+        owned = None
         if pool is None:
-            from repro.orchestration.pool import default_pool
-
-            pool = default_pool()
-            if pool is None:
-                if journal is None and store is None:
-                    return self._run_serial()
-                return self._run_orchestrated(None, journal, shard_size, store)
-            try:
-                return self._run_orchestrated(pool, journal, shard_size, store)
-            finally:
-                pool.close()
-        return self._run_orchestrated(pool, journal, shard_size, store)
-
-    def _run_sampled(
-        self, pool, journal, spec, prune_mode: str, store=None
-    ) -> CampaignResult:
-        """The statistical sampling campaign (optionally prune-composed)."""
-        from repro.injection.sampling import run_sampled_campaign
-
-        golden_runs = golden_runs_for(self.target, self.config.test_cases)
-        prune_plan = None
-        if prune_mode == "static":
-            from repro.analysis import prune as prune_mod
-
-            with obs.span(names.PRUNE_PLAN, target=self.target.name) as span:
-                prune_plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
-                counts = prune_plan.counts
-                span.count("points", len(prune_plan.points))
-                span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
-        owns_pool = False
-        if pool is None:
-            from repro.orchestration.pool import default_pool
-
-            pool = default_pool()
-            owns_pool = pool is not None
+            pool = owned = default_pool() or SerialPool()
         try:
-            return run_sampled_campaign(
-                self,
-                spec,
-                pool=pool,
-                journal=journal,
-                prune_plan=prune_plan,
-                golden_runs=golden_runs,
-                store=store,
+            if observes and pool.jobs > 1:
+                # Observation hooks need the runs in this process.
+                pool = SerialPool(metrics=pool.metrics)
+            if mode == "sample":
+                from repro.injection.sampling import SamplingSpec, run_sampled_campaign
+
+                if sampling is None:
+                    sampling = SamplingSpec(
+                        ci=ci,
+                        confidence=confidence,
+                        target_halfwidth=target_halfwidth,
+                        seed=sample_seed,
+                    )
+                plan = self._plan_prune() if prune_mode == "static" else None
+                return run_sampled_campaign(
+                    self,
+                    sampling,
+                    pool=pool,
+                    journal=journal,
+                    prune_plan=plan,
+                    golden_runs=None if plan is None else plan.golden_runs,
+                    store=store,
+                )
+            if prune_mode == "static":
+                return self._run_pruned(
+                    pool,
+                    journal,
+                    shard_size,
+                    self.config.audit_fraction
+                    if audit_fraction is None
+                    else audit_fraction,
+                    self.config.audit_seed if audit_seed is None else audit_seed,
+                    store,
+                )
+            return run_campaign(
+                self, pool=pool, journal=journal, shard_size=shard_size, store=store
             )
         finally:
-            if owns_pool:
-                pool.close()
+            if owned is not None:
+                owned.close()
 
-    def _run_serial(self) -> CampaignResult:
-        """The paper's strictly serial experiment loop."""
-        with obs.span(
-            "campaign.serial", target=self.target.name
-        ) as campaign_span:
+    def _plan_prune(self):
+        """The campaign's static prune plan, golden runs captured."""
+        from repro.analysis import prune as prune_mod
+
+        with obs.span(names.PRUNE_PLAN, target=self.target.name) as plan_span:
             golden_runs = golden_runs_for(self.target, self.config.test_cases)
-            records: list[ExperimentRecord] = []
-            for spec in self._targeted_specs():
-                for bit in self._bits_for(spec):
-                    flip = BitFlip(spec.name, spec.kind, bit)
-                    for injection_time in self.config.injection_times:
-                        for tc in self.config.test_cases:
-                            records.append(
-                                self._run_one(
-                                    flip, injection_time, tc, golden_runs[tc]
-                                )
-                            )
-            campaign_span.count("runs", len(records))
-            campaign_span.count(
-                "failures", sum(1 for r in records if r.failed)
-            )
-        return CampaignResult(
-            self.target.name,
-            self.config,
-            records,
-            golden_runs,
-            self.variable_specs,
-        )
-
-    def _run_orchestrated(
-        self, pool, journal, shard_size: int, store=None
-    ) -> CampaignResult:
-        from repro.orchestration.campaigns import run_campaign
-        from repro.orchestration.pool import SerialPool
-
-        if (
-            pool is not None
-            and getattr(pool, "jobs", 1) > 1
-            and type(self)._after_run is not Campaign._after_run
-        ):
-            # Observation hooks need the runs in this process.
-            pool = SerialPool(metrics=getattr(pool, "metrics", None))
-        return run_campaign(
-            self, pool=pool, journal=journal, shard_size=shard_size, store=store
-        )
+            plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
+            counts = plan.counts
+            plan_span.count("points", len(plan.points))
+            plan_span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
+        return plan
 
     def _run_pruned(
         self,
@@ -691,48 +618,29 @@ class Campaign:
         audit_seed: int,
         store=None,
     ) -> CampaignResult:
-        """The statically pruned campaign: plan, execute the remainder,
-        synthesize the rest, audit.  Bit-identical to `_run_serial`."""
+        """The statically pruned campaign: plan, execute the remainder
+        through :func:`~repro.orchestration.campaigns.run_campaign`,
+        synthesize the rest, audit.  Bit-identical to the exhaustive
+        campaign."""
         from repro.analysis import prune as prune_mod
+        from repro.orchestration.campaigns import run_campaign
 
-        with obs.span(names.PRUNE_PLAN, target=self.target.name) as plan_span:
-            golden_runs = golden_runs_for(self.target, self.config.test_cases)
-            plan = prune_mod.plan_prune(self, golden_runs=golden_runs)
-            counts = plan.counts
-            plan_span.count("points", len(plan.points))
-            plan_span.count(names.COUNTER_PRUNED, counts["dead"] + counts["member"])
-
+        plan = self._plan_prune()
         pairs = plan.executed_pairs()
-        orchestration = None
-        if pool is None and journal is None and store is None:
-            executed = self._execute_pairs(pairs, golden_runs)
-        else:
-            from repro.orchestration.campaigns import run_campaign
-
-            partial = run_campaign(
-                self,
-                pool=pool,
-                journal=journal,
-                shard_size=shard_size,
-                pairs=pairs,
-                golden_runs=golden_runs,
-                store=store,
-            )
-            orchestration = getattr(partial, "orchestration", None)
-            runs_per_pair = len(self.config.injection_times) * len(
-                self.config.test_cases
-            )
-            executed = {
-                (name, bit): partial.records[
-                    index * runs_per_pair : (index + 1) * runs_per_pair
-                ]
-                for index, (name, _kind, bit) in enumerate(pairs)
-            }
+        partial = run_campaign(
+            self,
+            pool=pool,
+            journal=journal,
+            shard_size=shard_size,
+            pairs=pairs,
+            golden_runs=plan.golden_runs,
+            store=store,
+        )
 
         with obs.span(
             names.PRUNE_SYNTHESIZE, target=self.target.name
         ) as synth_span:
-            records = prune_mod.assemble_records(self, plan, executed)
+            records = prune_mod.assemble_records(self, plan, partial.records)
             synth_span.count(
                 "synthesized", len(records) - len(pairs) * plan.runs_per_point
             )
@@ -750,39 +658,20 @@ class Campaign:
             self.target.name,
             self.config,
             records,
-            golden_runs,
+            plan.golden_runs,
             self.variable_specs,
         )
         result.prune = {  # type: ignore[attr-defined]
             "mode": "static",
-            **counts,
+            **plan.counts,
             "runs_planned": plan.runs_planned,
             "runs_executed": plan.runs_executed,
             "runs_pruned": plan.runs_pruned,
             "pruned_fraction": plan.pruned_fraction,
             "audit": audit,
         }
-        if orchestration is not None:
-            result.orchestration = orchestration  # type: ignore[attr-defined]
+        result.orchestration = partial.orchestration  # type: ignore[attr-defined]
         return result
-
-    def _execute_pairs(
-        self,
-        pairs,
-        golden_runs: dict[int, GoldenRun],
-    ) -> dict[tuple[str, int], list[ExperimentRecord]]:
-        """Serial inner loops for an explicit (variable, kind, bit) list."""
-        executed: dict[tuple[str, int], list[ExperimentRecord]] = {}
-        for name, kind, bit in pairs:
-            flip = BitFlip(name, kind, bit)
-            records: list[ExperimentRecord] = []
-            for injection_time in self.config.injection_times:
-                for tc in self.config.test_cases:
-                    records.append(
-                        self._run_one(flip, injection_time, tc, golden_runs[tc])
-                    )
-            executed[(name, bit)] = records
-        return executed
 
     def _run_one(
         self,
@@ -883,8 +772,10 @@ class Campaign:
     def _resume_key(self) -> tuple | None:
         """The test-case-independent part of the prefix cache key,
         ``None`` when this campaign is not resume-eligible.  Cached
-        until the next :meth:`run` (a target fingerprint costs up to
-        0.1 ms, a resumed run about 1 ms)."""
+        until the next
+        :func:`~repro.orchestration.campaigns.run_campaign` call (a
+        target fingerprint costs up to 0.1 ms, a resumed run about
+        1 ms)."""
         config = self.config
         cls = type(self)
         if not (

@@ -25,6 +25,9 @@ __all__ = [
     "POOL_RUN",
     "ORCHESTRATION_TASK",
     "WORKER_START",
+    "CAMPAIGN_PLAN",
+    "CAMPAIGN_SHARD",
+    "CAMPAIGN_MERGE",
     "SERVE_FLUSH",
     "SERVE_DRAIN",
     "SERVE_PUBLISH",
@@ -77,6 +80,15 @@ ENGINE_BATCH = "engine.batch"
 POOL_RUN = "pool.run"
 ORCHESTRATION_TASK = "orchestration.task"
 WORKER_START = "worker.start"
+
+# -- campaign executor (repro.orchestration.campaigns.run_campaign) ----
+#: Shard planning, store key resolution and golden-run capture.
+CAMPAIGN_PLAN = "campaign.plan"
+#: One shard's injected runs (counts ``runs`` and ``failures``).
+CAMPAIGN_SHARD = "campaign.shard"
+#: Merging shard outcomes in shard order (counts ``records`` and
+#: ``cached``/``stored``/``quarantined`` shards).
+CAMPAIGN_MERGE = "campaign.merge"
 
 # -- serving tier ------------------------------------------------------
 #: Router flushing one shard's pending micro-batch into its ring

@@ -1,14 +1,19 @@
 """Sharded, checkpointed execution of fault injection campaigns.
 
+:func:`run_campaign` is the one executor of a campaign's injected
+runs: :meth:`repro.injection.campaign.Campaign.run` sends exhaustive,
+journaled, stored, pruned and sampled campaigns through it, and a
+serial campaign is simply one run on a
+:class:`~repro.orchestration.pool.SerialPool`.
+
 A campaign enumerates runs in a fixed canonical order -- variable,
-then bit, then injection time, then test case (the serial loop of
-:meth:`repro.injection.campaign.Campaign._run_serial`).  The shard
-planner cuts that enumeration at ``(variable, bit)`` granularity into
-consecutive batches, so concatenating shard results *in shard order*
-reproduces the serial record order exactly, whatever order the shards
-actually finished in.  Targets are deterministic per test case and a
-run has no other randomness, so the merged result is bit-identical to
-the serial campaign for any worker count.
+then bit, then injection time, then test case (the paper's serial
+loop).  The shard planner cuts that enumeration at ``(variable, bit)``
+granularity into consecutive batches, so concatenating shard results
+*in shard order* reproduces the canonical record order exactly,
+whatever order the shards actually finished in.  Targets are
+deterministic per test case and a run has no other randomness, so the
+merged result is bit-identical for any worker count.
 
 The default shard size is one ``(variable, bit)`` pair per task.  That
 keeps shard boundaries -- and therefore journal fingerprints --
@@ -45,7 +50,7 @@ from repro.orchestration.journal import Journal
 from repro.orchestration.pool import SerialPool, WorkerPool
 from repro.orchestration.tasks import Task, TaskGraph, _chunk, fingerprint_of
 
-__all__ = ["plan_pairs", "plan_shards", "run_campaign"]
+__all__ = ["plan_pairs", "plan_shards", "shard_store_keys", "run_campaign"]
 
 #: pair = (variable name, kind, bit position)
 Pair = tuple[str, str, int]
@@ -71,6 +76,19 @@ def plan_shards(
     surviving pairs) while keeping the canonical order.
     """
     return _chunk(plan_pairs(campaign) if pairs is None else list(pairs), shard_size)
+
+
+def shard_store_keys(
+    campaign: Campaign, shards: list[tuple[Pair, ...]]
+) -> tuple[list[dict], list[str]] | None:
+    """Each shard's campaign-store key and its fingerprint, or ``None``
+    when the campaign is not store-eligible
+    (:meth:`~repro.injection.campaign.Campaign.store_key_base`)."""
+    base = campaign.store_key_base()
+    if base is None:
+        return None
+    keys = [{**base, "pairs": [list(pair) for pair in shard]} for shard in shards]
+    return keys, [fingerprint_of(key) for key in keys]
 
 
 def _injection_hints(
@@ -115,7 +133,7 @@ def _execute_shard(
 ) -> list[ExperimentRecord]:
     """Worker body: the serial inner loops for one shard's pairs."""
     records: list[ExperimentRecord] = []
-    with obs.span("campaign.shard", pairs=len(pairs)) as shard_span:
+    with obs.span(names.CAMPAIGN_SHARD, pairs=len(pairs)) as shard_span:
         for name, kind, bit in pairs:
             flip = BitFlip(name, kind, bit)
             hints = _injection_hints(campaign, name, kind, bit, golden_runs)
@@ -170,12 +188,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute a campaign through a worker pool, optionally journaled.
 
-    Returns a :class:`CampaignResult` bit-identical to
-    ``campaign.run()`` serial execution (absent quarantined shards).
-    The result additionally carries an ``orchestration`` attribute
-    summarising the schedule: total/executed/cached/stored task counts
-    and the ids of quarantined shards.  ``pairs`` restricts execution
-    to an explicit pair subset (pruned campaigns); ``golden_runs``
+    Returns a :class:`CampaignResult` bit-identical for every pool
+    (absent quarantined shards); ``pool=None`` runs on a
+    :class:`SerialPool`.  The result additionally carries an
+    ``orchestration`` attribute summarising the schedule:
+    total/executed/cached/stored task counts and the ids of
+    quarantined shards.  ``pairs`` restricts execution to an explicit
+    pair subset (pruned campaigns, sampling rounds); ``golden_runs``
     reuses already-captured golden runs.
 
     ``store`` (a :class:`repro.injection.store.CampaignStore`) makes
@@ -194,44 +213,38 @@ def run_campaign(
     """
     if pool is None:
         pool = SerialPool()
+    # The target may have been reconfigured since the last call.
+    campaign.__dict__.pop("_resume_key", None)
     config = campaign.config
-    store_base = None
-    if store is not None:
-        store_base = campaign.store_key_base()
-        if store_base is None:
-            from repro.injection.store import StoreEligibilityWarning
-
-            warnings.warn(
-                f"target {campaign.target.name!r} declares no module "
-                "source closures (module_sources) or is otherwise not "
-                "fingerprintable; running without the campaign store",
-                StoreEligibilityWarning,
-                stacklevel=2,
-            )
-            store = None
-    counters_before = dict(store.counters) if store is not None else None
-    with obs.span("campaign.plan", target=campaign.target.name):
+    with obs.span(names.CAMPAIGN_PLAN, target=campaign.target.name):
         shards = plan_shards(campaign, shard_size, pairs)
-        store_fingerprints: list[str | None] = [None] * len(shards)
-        store_keys: list[dict | None] = [None] * len(shards)
+        store_keys = store_fingerprints = [None] * len(shards)
         fully_stored = False
         if store is not None:
             with obs.span(
                 names.STORE_RESOLVE, target=campaign.target.name
             ) as resolve_span:
-                store_keys = [
-                    {**store_base, "pairs": [list(pair) for pair in shard]}
-                    for shard in shards
-                ]
-                store_fingerprints = [
-                    fingerprint_of(key) for key in store_keys
-                ]
-                contained = sum(
-                    1 for fp in store_fingerprints if store.contains(fp)
-                )
-                fully_stored = bool(shards) and contained == len(shards)
-                resolve_span.count("shards", len(shards))
-                resolve_span.count(names.COUNTER_STORE_HITS, contained)
+                resolved = shard_store_keys(campaign, shards)
+                if resolved is None:
+                    from repro.injection.store import StoreEligibilityWarning
+
+                    warnings.warn(
+                        f"target {campaign.target.name!r} declares no module "
+                        "source closures (module_sources) or is otherwise not "
+                        "fingerprintable; running without the campaign store",
+                        StoreEligibilityWarning,
+                        stacklevel=2,
+                    )
+                    store = None
+                else:
+                    store_keys, store_fingerprints = resolved
+                    contained = sum(
+                        1 for fp in store_fingerprints if store.contains(fp)
+                    )
+                    fully_stored = bool(shards) and contained == len(shards)
+                    resolve_span.count("shards", len(shards))
+                    resolve_span.count(names.COUNTER_STORE_HITS, contained)
+        counters_before = dict(store.counters) if store is not None else None
         if golden_runs is None:
             if fully_stored:
                 # Every shard loads from the store: no run will execute,
@@ -289,7 +302,7 @@ def run_campaign(
     quarantined: list[str] = []
     cached = 0
     stored = 0
-    with obs.span("campaign.merge", shards=len(shards)) as merge_span:
+    with obs.span(names.CAMPAIGN_MERGE, shards=len(shards)) as merge_span:
         for task, pairs in zip(tasks, shards):
             outcome = outcomes[task.task_id]
             if outcome.status == "quarantined":

@@ -28,6 +28,8 @@ from repro.orchestration.journal import Journal
 from repro.orchestration.pool import SerialPool
 from repro.targets.base import TargetSystem
 
+from tests.oracle import execute_pairs
+
 
 class PruneTarget(TargetSystem):
     """Deterministic target exercising every prune verdict.
@@ -230,8 +232,8 @@ class TestAudit:
             for p in plan.points
         ]
         plan.points = lying
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
+        executed = execute_pairs(
+            campaign, plan.executed_pairs(), plan.golden_runs
         )
         records = assemble_records(campaign, plan, executed)
         with pytest.raises(PruneContradiction, match=r"raw\[bit 0\]"):
@@ -240,8 +242,8 @@ class TestAudit:
     def test_zero_fraction_audits_nothing(self):
         campaign = Campaign(PruneTarget(), config())
         plan = plan_prune(campaign)
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
+        executed = execute_pairs(
+            campaign, plan.executed_pairs(), plan.golden_runs
         )
         records = assemble_records(campaign, plan, executed)
         audit = audit_records(campaign, plan, records, fraction=0.0)
@@ -250,8 +252,8 @@ class TestAudit:
     def test_audit_is_seeded(self):
         campaign = Campaign(PruneTarget(), config())
         plan = plan_prune(campaign)
-        executed = campaign._execute_pairs(
-            plan.executed_pairs(), plan.golden_runs
+        executed = execute_pairs(
+            campaign, plan.executed_pairs(), plan.golden_runs
         )
         records = assemble_records(campaign, plan, executed)
         first = audit_records(campaign, plan, records, 0.5, seed=3)
@@ -358,7 +360,7 @@ def test_generated_targets_prune_bit_identically(reads, branchy):
     exhaustive = Campaign(compile_target(source), GENERATED_CONFIG).run()
     campaign = Campaign(compile_target(source), GENERATED_CONFIG)
     plan = plan_prune(campaign, source=source)
-    executed = campaign._execute_pairs(plan.executed_pairs(), plan.golden_runs)
+    executed = execute_pairs(campaign, plan.executed_pairs(), plan.golden_runs)
     records = assemble_records(campaign, plan, executed)
     audit_records(campaign, plan, records, fraction=1.0)
     assert [r.to_dict() for r in records] == table(exhaustive)

@@ -41,9 +41,10 @@ from repro.injection.instrument import (
     VariableSpec,
 )
 from repro.injection.resume import PREFIX_CACHE, uses_step_driver
+from repro.injection.sampling import SamplingSpec, run_sampled_campaign
 from repro.mining.cache import reuse_caches_disabled
 from repro.observability import names
-from repro.orchestration import ProcessPool, plan_pairs
+from repro.orchestration import ProcessPool, plan_pairs, run_campaign
 from repro.targets.base import TargetSystem
 
 from tests.orchestration._targets import run_grid_campaign
@@ -173,6 +174,42 @@ def _nested_campaign():
         bits=(0, 3),
     )
     return Campaign(NestedTarget(), config)
+
+
+class OffsetTarget(NestedTarget):
+    """A nested target whose start value is part of its configuration."""
+
+    name = "OT"
+
+    def __init__(self, offset=0):
+        self.offset = offset
+
+    def begin(self, test_case):
+        return {"rows": [[test_case + self.offset]], "history": []}
+
+
+class TestResumeKeyFollowsTarget:
+    """Each executor call re-derives the prefix cache key, so a target
+    reconfigured between direct calls never resumes from the prefixes
+    of its old configuration."""
+
+    @pytest.mark.parametrize(
+        "execute",
+        [
+            run_campaign,
+            lambda campaign: run_sampled_campaign(campaign, SamplingSpec()),
+        ],
+        ids=["run_campaign", "run_sampled_campaign"],
+    )
+    def test_reconfigured_target(self, execute):
+        config = _nested_campaign().config
+        campaign = Campaign(OffsetTarget(), config)
+        execute(campaign)
+        campaign.target.offset = 7
+        reconfigured = execute(campaign)
+        with reuse_caches_disabled():
+            fresh = execute(Campaign(OffsetTarget(7), config))
+        assert _tables(reconfigured) == _tables(fresh)
 
 
 class TestSnapshotIsolation:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.injection.campaign import Campaign
-from repro.injection.instrument import Location
 from repro.injection.store import CampaignStore
+from repro.orchestration import pool as pool_module
 from repro.orchestration import (
     Journal,
     ProcessPool,
@@ -17,6 +17,7 @@ from repro.orchestration import (
     run_campaign,
 )
 
+from tests.oracle import serial_result
 from tests.orchestration._targets import (
     CrashingGridTarget,
     GridTarget,
@@ -34,7 +35,7 @@ class TestDeterminism:
         assert first.records == second.records
 
     def test_serial_pool_matches_plain_serial(self):
-        serial = run_grid_campaign()._run_serial()
+        serial = serial_result(run_grid_campaign())
         pooled = run_grid_campaign().run(pool=SerialPool())
         assert pooled.records == serial.records
         assert pooled.golden_runs.keys() == serial.golden_runs.keys()
@@ -44,10 +45,10 @@ class TestDeterminism:
             a = run_grid_campaign().run(pool=one)
             b = run_grid_campaign().run(pool=four)
         assert a.records == b.records
-        assert a.records == run_grid_campaign()._run_serial().records
+        assert a.records == serial_result(run_grid_campaign()).records
 
     def test_shard_size_does_not_change_records(self):
-        serial = run_grid_campaign()._run_serial()
+        serial = serial_result(run_grid_campaign())
         for shard_size in (1, 2, 5, 100):
             result = run_grid_campaign().run(
                 pool=SerialPool(), shard_size=shard_size
@@ -78,7 +79,7 @@ class TestDeterminism:
             injection_times=tuple(times),
             bits=tuple(bits),
         )
-        serial = Campaign(GridTarget(), config)._run_serial()
+        serial = serial_result(Campaign(GridTarget(), config))
         merged = Campaign(GridTarget(), config).run(
             pool=SerialPool(), shard_size=shard_size
         )
@@ -243,7 +244,7 @@ class TestStoreInterop:
         assert exhaustive.orchestration["executed"] == (
             exhaustive.orchestration["tasks"] - survivors
         )
-        assert exhaustive.records == run_grid_campaign()._run_serial().records
+        assert exhaustive.records == serial_result(run_grid_campaign()).records
 
     def test_pooled_store_run_is_bit_identical(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -254,7 +255,7 @@ class TestStoreInterop:
         )
         warm = run_grid_campaign().run(store=store)
         assert warm.orchestration["stored"] == warm.orchestration["tasks"]
-        serial = run_grid_campaign()._run_serial()
+        serial = serial_result(run_grid_campaign())
         assert cold.records == serial.records
         assert warm.records == serial.records
 
@@ -281,8 +282,14 @@ class TestStoreInterop:
 class TestRunCampaignDirect:
     def test_default_pool_is_serial(self):
         result = run_campaign(run_grid_campaign())
-        assert result.records == run_grid_campaign()._run_serial().records
+        assert result.records == serial_result(run_grid_campaign()).records
         assert result.orchestration["jobs"] == 1
+
+    def test_plain_run_executes_on_a_serial_pool(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "_DEFAULT_JOBS", None)
+        result = run_grid_campaign().run()
+        assert result.orchestration["jobs"] == 1
+        assert result.orchestration["executed"] == result.orchestration["tasks"]
 
     def test_rejects_bad_shard_size(self):
         with pytest.raises(ValueError):

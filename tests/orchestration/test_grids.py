@@ -15,12 +15,13 @@ from repro.orchestration import (
 )
 from repro.orchestration.grids import _callable_tag
 
+from tests.oracle import serial_result
 from tests.orchestration._targets import run_grid_campaign
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    return run_grid_campaign()._run_serial().to_dataset("GT-ds")
+    return serial_result(run_grid_campaign()).to_dataset("GT-ds")
 
 
 GRID = RefinementGrid(
@@ -175,7 +176,7 @@ class TestSharedJournalIncremental:
 class TestFingerprints:
     def test_dataset_fingerprint_stable_and_sensitive(self, dataset):
         assert dataset_fingerprint(dataset) == dataset_fingerprint(dataset)
-        other = run_grid_campaign(test_cases=(0, 2))._run_serial().to_dataset("x")
+        other = serial_result(run_grid_campaign(test_cases=(0, 2))).to_dataset("x")
         assert dataset_fingerprint(dataset) != dataset_fingerprint(other)
 
     def test_callable_tag_prefers_fingerprint(self):
