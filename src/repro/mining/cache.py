@@ -1,9 +1,8 @@
 """Content-addressed reuse caches for the mining data plane.
 
 Step 4's refinement grid re-derives near-identical intermediate
-artefacts hundreds of times: the same training fold feeds 15 SMOTE
-levels and 15 neighbour counts, and every plan re-partitions the same
-class vector into the same stratified folds.  The caches here memoise
+artefacts hundreds of times: every plan re-partitions the same class
+vector into the same stratified folds.  The caches here memoise
 those artefacts keyed by **content fingerprints** (the same
 sha256-prefix convention as :func:`repro.orchestration.tasks.fingerprint_of`),
 so reuse is driven by what the data *is*, never by where it came from

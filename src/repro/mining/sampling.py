@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
-from repro.mining.cache import ContentCache, array_fingerprint, caching_disabled
+from repro.mining.cache import caching_disabled
 from repro.mining.dataset import Dataset
 from repro.mining.knn import NearestNeighbours
 
@@ -44,27 +44,6 @@ __all__ = [
 
 class SamplingError(ValueError):
     """Raised for invalid sampling parameters or degenerate datasets."""
-
-
-# The paper's refinement grid sweeps SMOTE over k in [1, 15] against a
-# fixed training fold, so the minority neighbour lists are computed once
-# at the grid's largest k and *sliced* for every smaller k (per-seed
-# neighbour lists are prefixes of one stable distance ordering; see
-# NearestNeighbours.neighbour_table).  Keyed purely by minority-matrix
-# content, so any two plans sharing a training fold share the table.
-_TABLE_K = 15
-_NEIGHBOUR_TABLES = ContentCache(maxsize=16, name="smote-neighbour-tables")
-
-
-def _minority_neighbour_table(minority: Dataset, k: int) -> list[np.ndarray]:
-    table_k = max(k, _TABLE_K)
-    key = array_fingerprint(minority.x)
-    cached = _NEIGHBOUR_TABLES.get(key)
-    if cached is not None and cached[0] >= table_k:
-        return cached[1]
-    table = NearestNeighbours(minority).neighbour_table(table_k)
-    _NEIGHBOUR_TABLES.put(key, (table_k, table))
-    return table
 
 
 def _split_by_class(dataset: Dataset, positive: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,14 +133,21 @@ def smote(
         index = NearestNeighbours(minority)
         table = None
     else:
-        table = _minority_neighbour_table(minority, k)
+        table = NearestNeighbours(minority).neighbour_table(k)
     numeric = np.array([a.is_numeric for a in dataset.attributes])
     nominal = ~numeric
     n_nominal = int(np.count_nonzero(nominal))
     r_whole, r_frac = divmod(level / 100.0, 1.0)
 
-    synthetic_chunks = []
-    n_synthetic = 0
+    # The loop only draws: per seed, the fractional-level coin, then
+    # ``r`` neighbours, then ``r * (1 + n_nominal)`` uniforms (each
+    # row's interpolation q, then its nominal coin vector) -- the
+    # generator sequence of building each seed's rows in turn.  The
+    # rows themselves are built afterwards in one block, with the same
+    # elementwise arithmetic.
+    seed_rows = []
+    choice_chunks = []
+    draw_chunks = []
     for i in range(len(minority)):
         r = int(r_whole) + (1 if rng.random() < r_frac else 0)
         if r == 0:
@@ -169,34 +155,28 @@ def smote(
         if table is None:
             neighbours = index.neighbours(minority.x[i], k, exclude=i)
         else:
-            neighbours = table[i][:k]
+            neighbours = table[i]
         if len(neighbours) == 0:
             continue
-        choices = rng.choice(neighbours, size=r, replace=True)
-        seed = minority.x[i]
-        others = minority.x[choices]
-        # One seed's rows each consumed 1 + n_nominal uniforms in order
-        # (the interpolation q, then the nominal coin vector), with no
-        # other draw interleaved -- and Generator.random fills an array
-        # from the very double stream repeated scalar calls consume, so
-        # one batched draw replays the per-row sequence exactly.
-        draws = rng.random(r * (1 + n_nominal)).reshape(r, 1 + n_nominal)
-        q = draws[:, :1]
-        block = np.repeat(seed[None, :], r, axis=0)
-        block[:, numeric] = seed[numeric] + q * (others[:, numeric] - seed[numeric])
-        if n_nominal:
-            take_other = draws[:, 1:] < 0.5
-            block[:, nominal] = np.where(take_other, others[:, nominal], seed[nominal])
-        synthetic_chunks.append(block)
-        n_synthetic += r
+        choice_chunks.append(rng.choice(neighbours, size=r, replace=True))
+        draw_chunks.append(rng.random(r * (1 + n_nominal)))
+        seed_rows.extend([i] * r)
 
-    if not synthetic_chunks:
+    if not seed_rows:
         return dataset.copy()
+    rows = minority.x[seed_rows]
+    others = minority.x[np.concatenate(choice_chunks)]
+    draws = np.concatenate(draw_chunks).reshape(len(seed_rows), 1 + n_nominal)
+    q = draws[:, :1]
+    rows[:, numeric] = rows[:, numeric] + q * (others[:, numeric] - rows[:, numeric])
+    if n_nominal:
+        take_other = draws[:, 1:] < 0.5
+        rows[:, nominal] = np.where(take_other, others[:, nominal], rows[:, nominal])
     synthetic = Dataset(
         dataset.attributes,
         dataset.class_attribute,
-        np.concatenate(synthetic_chunks, axis=0),
-        np.full(n_synthetic, positive, dtype=np.int64),
+        rows,
+        np.full(len(seed_rows), positive, dtype=np.int64),
         name=dataset.name,
     )
     return dataset.concat(synthetic).shuffled(rng)

@@ -37,7 +37,7 @@ from repro.mining.tree.node import (
     TreeNode,
     batch_distribution,
 )
-from repro.mining.tree.pruning import prune_tree
+from repro.mining.tree.pruning import pessimistic_prune
 
 __all__ = ["C45DecisionTree"]
 
@@ -131,10 +131,13 @@ class C45DecisionTree(Classifier):
                 )
             else:
                 root = self._grow(dataset.x, dataset.y, dataset.weights, depth=0)
+            grown = None
             if self.prune:
-                root = prune_tree(root, self.confidence_factor)
+                root, _, grown = pessimistic_prune(root, self.confidence_factor)
             self.root = root
-            fit_span.count("nodes", root.node_count())
+            nodes = root.node_count()
+            fit_span.count("nodes", nodes)
+            fit_span.count("grown_nodes", nodes if grown is None else grown)
         return self
 
     def _class_weights(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -26,35 +26,53 @@ import math
 
 from repro.mining.tree.node import DecisionNode, LeafNode, TreeNode
 
-__all__ = ["prune_tree", "pessimistic_errors", "added_errors"]
+__all__ = ["prune_tree", "pessimistic_prune", "pessimistic_errors", "added_errors"]
 
 
 def prune_tree(node: TreeNode, confidence_factor: float) -> TreeNode:
     """Return the pessimistically pruned version of ``node``."""
+    return pessimistic_prune(node, confidence_factor)[0]
+
+
+def pessimistic_prune(
+    node: TreeNode, confidence_factor: float
+) -> tuple[TreeNode, float, int]:
+    """Prune ``node`` in one bottom-up pass.
+
+    Returns ``(pruned, estimate, grown_nodes)``: the pruned subtree, its
+    pessimistic error estimate (the sum of its leaves' estimates), and
+    the node count of the subtree as grown.  Each pruned child hands
+    its estimate up, so every grown node is visited -- and
+    :func:`pessimistic_errors` called -- exactly once; the parent sums
+    the children's estimates in child order, the very floats and
+    additions a re-walk of the pruned subtree would produce.
+    """
     if isinstance(node, LeafNode):
-        return node
+        estimate = pessimistic_errors(
+            node.total_weight, node.training_errors, confidence_factor
+        )
+        return node, estimate, 1
     assert isinstance(node, DecisionNode)
-    node.children = [
-        prune_tree(child, confidence_factor) for child in node.children
-    ]
+    children = []
+    estimates = []
+    grown = 1
+    for child in node.children:
+        pruned, estimate, child_grown = pessimistic_prune(child, confidence_factor)
+        children.append(pruned)
+        estimates.append(estimate)
+        grown += child_grown
+    node.children = children
     leaf_estimate = pessimistic_errors(
         node.total_weight, node.training_errors, confidence_factor
     )
-    subtree_estimate = _subtree_errors(node, confidence_factor)
+    subtree_estimate = sum(estimates)
     # Replace when the collapsed leaf's pessimistic error is no worse;
-    # the 0.1 slack matches C4.5's implementation.
+    # the 0.1 slack matches C4.5's implementation.  The collapsed leaf
+    # shares this node's class weights, so its estimate is
+    # ``leaf_estimate``.
     if leaf_estimate <= subtree_estimate + 0.1:
-        return LeafNode(node.class_weights)
-    return node
-
-
-def _subtree_errors(node: TreeNode, confidence_factor: float) -> float:
-    if isinstance(node, LeafNode):
-        return pessimistic_errors(
-            node.total_weight, node.training_errors, confidence_factor
-        )
-    assert isinstance(node, DecisionNode)
-    return sum(_subtree_errors(child, confidence_factor) for child in node.children)
+        return LeafNode(node.class_weights), leaf_estimate, grown
+    return node, subtree_estimate, grown
 
 
 def pessimistic_errors(n: float, e: float, confidence_factor: float) -> float:
